@@ -13,7 +13,6 @@
 package hepfile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -69,27 +68,18 @@ type Info struct {
 	Bytes   int
 }
 
-type encoder struct{ buf bytes.Buffer }
+type encoder struct{ buf []byte }
 
-func (e *encoder) u8(v uint8) { e.buf.WriteByte(v) }
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf.Write(b[:])
-}
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
-}
+func (e *encoder) u8(v uint8)    { e.buf = append(e.buf, v) }
+func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i32(v int32)   { e.u32(uint32(v)) }
 func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *encoder) finish() []byte {
-	crc := crc32.ChecksumIEEE(e.buf.Bytes())
-	e.u32(crc)
-	return e.buf.Bytes()
+	e.u32(crc32.ChecksumIEEE(e.buf))
+	return e.buf
 }
 
 type decoder struct {
@@ -143,7 +133,7 @@ func (d *decoder) f64() (float64, error) {
 // openFile verifies magic, version, CRC and the level tag, returning a
 // decoder positioned at the record count.
 func openFile(data []byte, wantLevels ...Level) (*decoder, Level, int, error) {
-	if len(data) < 4+1+1+4+4 {
+	if len(data) < fileOverhead {
 		return nil, 0, 0, fmt.Errorf("hepfile: %d bytes is too short to be an event file", len(data))
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
@@ -185,9 +175,21 @@ func openFile(data []byte, wantLevels ...Level) (*decoder, Level, int, error) {
 	return d, level, int(n), nil
 }
 
-func newFile(level Level, records int) *encoder {
-	e := &encoder{}
-	e.buf.Write(fileMagic[:])
+// Encoded sizes: a file is a fixed header and CRC trailer around its
+// records; an event record is a fixed head plus one entry per particle.
+const (
+	fileOverhead   = 4 + 1 + 1 + 4 + 4 // magic, version, level, count, CRC
+	eventHeadSize  = 8 + 1 + 4         // ID, signal flag, particle count
+	particleSize   = 4 + 4*8           // PDG, four-momentum
+	recoRecordSize = 8 + 8 + 8 + 4     // ID, mass, lead pT, multiplicity
+	sumRecordSize  = 8 + 8 + 8 + 4     // ID, mass, pT, N
+)
+
+// newFile starts a file whose records encode to bodySize bytes, so the
+// buffer is allocated once at its final length.
+func newFile(level Level, records, bodySize int) *encoder {
+	e := &encoder{buf: make([]byte, 0, fileOverhead+bodySize)}
+	e.buf = append(e.buf, fileMagic[:]...)
 	e.u8(fileVersion)
 	e.u8(uint8(level))
 	e.u32(uint32(records))
@@ -208,7 +210,11 @@ func WriteEvents(level Level, evs []hepsim.Event) ([]byte, error) {
 	if level != GEN && level != SIM {
 		return nil, fmt.Errorf("hepfile: level %v does not hold Event records", level)
 	}
-	e := newFile(level, len(evs))
+	size := len(evs) * eventHeadSize
+	for i := range evs {
+		size += len(evs[i].Particles) * particleSize
+	}
+	e := newFile(level, len(evs), size)
 	for i := range evs {
 		ev := &evs[i]
 		e.i64(ev.ID)
@@ -279,7 +285,7 @@ func WriteReco(level Level, recs []hepsim.RecoEvent) ([]byte, error) {
 	if level != DST && level != ODS {
 		return nil, fmt.Errorf("hepfile: level %v does not hold RecoEvent records", level)
 	}
-	e := newFile(level, len(recs))
+	e := newFile(level, len(recs), len(recs)*recoRecordSize)
 	for _, r := range recs {
 		e.i64(r.ID)
 		e.f64(r.Mass)
@@ -317,7 +323,7 @@ func ReadReco(data []byte) (Level, []hepsim.RecoEvent, error) {
 
 // WriteSummaries encodes a HAT-level ntuple.
 func WriteSummaries(sums []hepsim.Summary) ([]byte, error) {
-	e := newFile(HAT, len(sums))
+	e := newFile(HAT, len(sums), len(sums)*sumRecordSize)
 	for _, s := range sums {
 		e.i64(s.ID)
 		e.f64(s.Mass)

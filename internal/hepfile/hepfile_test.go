@@ -192,3 +192,44 @@ func TestSummaryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestExactSizeEncoding checks that every writer sizes its buffer to the
+// encoded length up front: a drifting size formula would show as spare
+// capacity (too large) or a regrown buffer (too small).
+func TestExactSizeEncoding(t *testing.T) {
+	evs := sampleEvents(t, 200)
+	recs, err := hepsim.ReconstructAll(evs, hepsim.Effects{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("no reconstructed events to encode")
+	}
+	sums := make([]hepsim.Summary, len(recs))
+	for i, r := range recs {
+		sums[i] = hepsim.Summarize(r)
+	}
+	check := func(name string, out []byte, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(out) != len(out) {
+			t.Errorf("%s: cap %d, len %d", name, cap(out), len(out))
+		}
+	}
+	for _, level := range []Level{GEN, SIM} {
+		out, err := WriteEvents(level, evs)
+		check("WriteEvents "+level.String(), out, err)
+		out, err = WriteEvents(level, nil)
+		check("WriteEvents empty "+level.String(), out, err)
+	}
+	for _, level := range []Level{DST, ODS} {
+		out, err := WriteReco(level, recs)
+		check("WriteReco "+level.String(), out, err)
+	}
+	out, err := WriteSummaries(sums)
+	check("WriteSummaries", out, err)
+	out, err = WriteSummaries(nil)
+	check("WriteSummaries empty", out, err)
+}

@@ -68,6 +68,7 @@ func BenchmarkTarballPack(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		files[fmt.Sprintf("obj/unit%02d.o", i)] = make([]byte, 2048)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PackTarball(files); err != nil {

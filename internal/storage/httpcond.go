@@ -6,8 +6,8 @@ package storage
 // and gzip negotiation can never drift between them.
 
 import (
-	"bytes"
 	"compress/gzip"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -40,19 +40,14 @@ func AcceptsGzip(r *http.Request) bool {
 	return false
 }
 
+var responseGzip = newGzipPool(gzip.DefaultCompression)
+
 // GzipBytes compresses data at the default level.
 func GzipBytes(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	_, werr := zw.Write(data)
-	cerr := zw.Close()
-	if werr != nil {
-		return nil, werr
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	return buf.Bytes(), nil
+	return responseGzip.compress(func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // NoneMatch reports which of the candidate entity tags the request's
